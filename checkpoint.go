@@ -8,8 +8,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
+	"nbody/internal/fileio"
 	"nbody/internal/metrics"
 )
 
@@ -112,47 +112,7 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 // any point leaves either the previous snapshot or the new one — never a
 // readable-but-torn file.
 func (s *Simulation) CheckpointFile(path string) error {
-	return writeFileAtomic(path, s.Checkpoint)
-}
-
-// writeFileAtomic streams fill into a temp file next to path, fsyncs the
-// file, renames it over path, and fsyncs the directory so the rename
-// itself is durable.
-func writeFileAtomic(path string, fill func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("nbody: checkpoint %s: %w", path, err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if tmp != "" {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	if err := fill(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("nbody: checkpoint %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("nbody: checkpoint %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("nbody: checkpoint %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("nbody: checkpoint %s: %w", path, err)
-	}
-	tmp = "" // committed: disable the cleanup
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return fileio.WriteAtomic(path, "nbody: checkpoint", s.Checkpoint)
 }
 
 // CheckpointState is the decoded restartable content of one checkpoint
@@ -194,7 +154,7 @@ func DecodeCheckpoint(r io.Reader) (*CheckpointState, error) {
 	if plen < ckPayloadFixed || (plen-ckPayloadFixed)%ckBytesPerParticle != 0 {
 		return nil, corruptf("implausible payload length %d", plen)
 	}
-	payload, err := readFullLimited(r, plen)
+	payload, err := fileio.ReadFullLimited(r, plen)
 	if err != nil {
 		return nil, corruptf("truncated payload (%v)", err)
 	}
@@ -308,28 +268,4 @@ func ResumeSimulationFile(path string, solver Accelerator) (*Simulation, error) 
 		return nil, fmt.Errorf("resume %s: %w", path, err)
 	}
 	return sim, nil
-}
-
-// readFullLimited reads exactly want bytes, growing the buffer only as
-// data actually arrives, so a forged length field in a corrupt snapshot
-// cannot force a huge up-front allocation.
-func readFullLimited(r io.Reader, want uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	first := want
-	if first > chunk {
-		first = chunk
-	}
-	buf := make([]byte, 0, first)
-	for uint64(len(buf)) < want {
-		next := want - uint64(len(buf))
-		if next > chunk {
-			next = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, next)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }

@@ -4,9 +4,11 @@
 // apply it to a potential vector as a level-2 BLAS matrix-vector product,
 // and then aggregate the translations of many boxes into level-3 BLAS
 // matrix-matrix products (optionally "multiple-instance", the CMSSL notion
-// of a batched GEMM). This package provides those kernels in pure Go:
-// row-major float64 matrices, a blocked serial GEMM, a goroutine-parallel
-// driver, and a batched variant.
+// of a batched GEMM). This package provides those kernels: row-major
+// float64 matrices and streaming GEMM/GEMV with backend-dispatched inner
+// loops (dispatch.go). The multiple-instance product itself is the gather
+// plus one DgemmAssign per chunk in internal/core's aggregatedApply*;
+// parallel regions belong to internal/sched.
 package blas
 
 import "fmt"
@@ -28,24 +30,8 @@ func (m Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Row returns a view of row i.
-func (m Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
 // String implements fmt.Stringer (shape only; matrices here can be large).
 func (m Matrix) String() string { return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols) }
-
-// Ddot returns the inner product of x and y; the slices must have equal
-// length.
-func Ddot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("blas: Ddot length mismatch")
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
 
 // Daxpy computes y += alpha*x.
 func Daxpy(alpha float64, x, y []float64) {
@@ -57,13 +43,6 @@ func Daxpy(alpha float64, x, y []float64) {
 	}
 	for i, v := range x {
 		y[i] += alpha * v
-	}
-}
-
-// Dscal computes x *= alpha.
-func Dscal(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
 	}
 }
 

@@ -3,12 +3,11 @@ package blas
 // This file holds the streaming GEMM kernels Dgemm dispatches to: i-k-j
 // loops unrolled four deep in k, so the inner loop reads four B rows
 // against one C row and retires eight flops per C-element store. On the
-// scalar Go backend this shape beats the BLIS-style packed micro-kernel of
-// gemm_packed.go at every translation size (see EXPERIMENTS.md): packing
-// passes and 4x4 register tiles pay off only when the register allocator
-// can hold the tile, and with sixteen accumulators plus operand temporaries
-// the compiler spills, while the k-unrolled stream keeps live values under
-// the register budget and every operand access unit-stride. The constant
+// scalar Go backend this shape beat a BLIS-style packed 4x4 micro-kernel at
+// every translation size (see EXPERIMENTS.md): with sixteen accumulators
+// plus operand temporaries the compiler spills the tile, while the
+// k-unrolled stream keeps live values under the register budget and every
+// operand access unit-stride. The constant
 // trip-count variants for the paper's K = 12 and K = 72 translation shapes
 // let the compiler drop the remainder loop and prove away slice bounds
 // checks.

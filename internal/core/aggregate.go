@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"nbody/internal/blas"
+	"nbody/internal/sched"
 )
 
 // aggScratch holds the working set of one aggregation chunk: the K x chunk
@@ -60,7 +61,7 @@ func aggregatedApply(ctx context.Context, t blas.Matrix, src, dst []float64, src
 		return
 	}
 	nchunks := (n + aggregationChunk - 1) / aggregationChunk
-	if blas.Serial() || nchunks == 1 {
+	if sched.Serial() || nchunks == 1 {
 		s := getAggScratch(k)
 		for ci := 0; ci < nchunks; ci++ {
 			if ctx != nil && ctx.Err() != nil {
@@ -71,7 +72,7 @@ func aggregatedApply(ctx context.Context, t blas.Matrix, src, dst []float64, src
 		aggPool.Put(s)
 		return
 	}
-	_ = blas.ParallelCtx(ctx, nchunks, func(ci int) {
+	_ = sched.Run(ctx, nchunks, func(ci int) {
 		s := getAggScratch(k)
 		aggChunk(s, t, src, dst, srcIdx, dstIdx, k, ci)
 		aggPool.Put(s)
@@ -123,7 +124,7 @@ func aggregatedApplyLattice(ctx context.Context, t blas.Matrix, src, dst []float
 		return
 	}
 	nchunks := (n + aggregationChunk - 1) / aggregationChunk
-	if blas.Serial() || nchunks == 1 {
+	if sched.Serial() || nchunks == 1 {
 		s := getAggScratch(k)
 		for ci := 0; ci < nchunks; ci++ {
 			if ctx != nil && ctx.Err() != nil {
@@ -134,7 +135,7 @@ func aggregatedApplyLattice(ctx context.Context, t blas.Matrix, src, dst []float
 		aggPool.Put(s)
 		return
 	}
-	_ = blas.ParallelCtx(ctx, nchunks, func(ci int) {
+	_ = sched.Run(ctx, nchunks, func(ci int) {
 		s := getAggScratch(k)
 		latChunk(s, t, src, dst, lat, k, ci)
 		aggPool.Put(s)

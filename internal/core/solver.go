@@ -10,6 +10,7 @@ import (
 	"nbody/internal/geom"
 	"nbody/internal/metrics"
 	"nbody/internal/pipeline"
+	"nbody/internal/sched"
 	"nbody/internal/tree"
 )
 
@@ -244,13 +245,13 @@ func (s *Solver) solve(pos []geom.Vec3, q []float64, phi []float64, acc []geom.V
 	return s.solveCtx(nil, pos, q, phi, acc)
 }
 
-// par and parChunks are the solver's parallel sweeps: blas.Parallel* bound
+// par and parChunks are the solver's parallel sweeps: sched regions bound
 // to the in-flight solve's cancellation signal. A canceled sweep returns
 // early with partial output; solveCtx notices at the next phase boundary.
-func (s *Solver) par(n int, fn func(i int)) { _ = blas.ParallelCtx(s.ctx, n, fn) }
+func (s *Solver) par(n int, fn func(i int)) { _ = sched.Run(s.ctx, n, fn) }
 
 func (s *Solver) parChunks(n int, body func(lo, hi int)) {
-	_ = blas.ParallelChunksCtx(s.ctx, n, body)
+	_ = sched.RunChunks(s.ctx, n, body)
 }
 
 func (s *Solver) solveCtx(ctx context.Context, pos []geom.Vec3, q []float64, phi []float64, acc []geom.Vec3) error {
@@ -565,7 +566,7 @@ func (s *Solver) evalLocal(wantForce bool) {
 // single executor it switches to the symmetric form (each unordered box
 // pair evaluated once, both sides accumulated), halving the pair count.
 func (s *Solver) nearField(wantForce bool) {
-	if blas.Serial() {
+	if sched.Serial() {
 		s.nearFieldSym(wantForce)
 		return
 	}

@@ -148,7 +148,7 @@ func TestCShiftRoundTripIdentity(t *testing.T) {
 	m := testMachine(t, 2)
 	g := m.NewGrid3(8, 2)
 	rng := rand.New(rand.NewSource(71))
-	g.ForEachBox(func(c geom.Coord3, v []float64) { v[0], v[1] = rng.Float64(), rng.Float64() })
+	fillRandom(g, rng)
 	d := g.CShift(AxisY, 3).CShift(AxisY, -3)
 	bad := 0
 	d.ForEachBox(func(c geom.Coord3, v []float64) {

@@ -8,6 +8,22 @@ import (
 	"nbody/internal/geom"
 )
 
+// fillRandom sets every word of g from rng in a fixed serial order:
+// ForEachBox runs its body on the worker pool, and a *rand.Rand is not safe
+// for concurrent use.
+func fillRandom(g *Grid3, rng *rand.Rand) {
+	for z := 0; z < g.N; z++ {
+		for y := 0; y < g.N; y++ {
+			for x := 0; x < g.N; x++ {
+				v := g.At(geom.Coord3{X: x, Y: y, Z: z})
+				for i := range v {
+					v[i] = rng.Float64()
+				}
+			}
+		}
+	}
+}
+
 func TestCShiftComposition(t *testing.T) {
 	// Shifting by a then b along the same axis equals shifting by a+b
 	// (data identity; the counters differ, which is the whole point of the
@@ -15,7 +31,7 @@ func TestCShiftComposition(t *testing.T) {
 	m := testMachine(t, 2)
 	g := m.NewGrid3(8, 1)
 	rng := rand.New(rand.NewSource(141))
-	g.ForEachBox(func(c geom.Coord3, v []float64) { v[0] = rng.Float64() })
+	fillRandom(g, rng)
 	f := func(aRaw, bRaw int8) bool {
 		a, b := int(aRaw%8), int(bRaw%8)
 		two := g.CShift(AxisY, a).CShift(AxisY, b)
@@ -37,7 +53,7 @@ func TestCShiftAxesCommute(t *testing.T) {
 	m := testMachine(t, 2)
 	g := m.NewGrid3(4, 2)
 	rng := rand.New(rand.NewSource(142))
-	g.ForEachBox(func(c geom.Coord3, v []float64) { v[0], v[1] = rng.Float64(), rng.Float64() })
+	fillRandom(g, rng)
 	xy := g.CShift(AxisX, 1).CShift(AxisY, -2)
 	yx := g.CShift(AxisY, -2).CShift(AxisX, 1)
 	xy.ForEachBox(func(c geom.Coord3, v []float64) {

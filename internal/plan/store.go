@@ -9,9 +9,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"nbody/internal/fileio"
 	"nbody/internal/metrics"
 )
 
@@ -173,7 +173,7 @@ func (p *Planner) Decode(r io.Reader) (int, error) {
 	if (plen-8)/storeEntryLen > storeMaxEntries {
 		return 0, storeCorruptf("entry count %d over limit", (plen-8)/storeEntryLen)
 	}
-	payload, err := readFullLimited(r, plen)
+	payload, err := fileio.ReadFullLimited(r, plen)
 	if err != nil {
 		return 0, storeCorruptf("truncated payload (%v)", err)
 	}
@@ -252,7 +252,7 @@ func (p *Planner) Decode(r io.Reader) (int, error) {
 // the same directory, fsynced, then renamed over path — a crash leaves
 // either the previous store or the new one, never a torn file.
 func (p *Planner) Save(path string) error {
-	if err := writeFileAtomic(path, p.Encode); err != nil {
+	if err := fileio.WriteAtomic(path, "plan: save store", p.Encode); err != nil {
 		return err
 	}
 	p.mu.Lock()
@@ -283,68 +283,4 @@ func (p *Planner) Load(path string) (int, error) {
 	p.mu.Unlock()
 	metrics.AddStoreLoads(1)
 	return n, nil
-}
-
-// writeFileAtomic streams fill into a temp file next to path, fsyncs the
-// file, renames it over path, and fsyncs the directory so the rename itself
-// is durable (the checkpoint codec's discipline).
-func writeFileAtomic(path string, fill func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("plan: save store %s: %w", path, err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if tmp != "" {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	if err := fill(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("plan: save store %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("plan: save store %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("plan: save store %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("plan: save store %s: %w", path, err)
-	}
-	tmp = "" // committed: disable the cleanup
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// readFullLimited reads exactly want bytes, growing the buffer only as data
-// actually arrives, so a forged length field cannot force a huge up-front
-// allocation.
-func readFullLimited(r io.Reader, want uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	first := want
-	if first > chunk {
-		first = chunk
-	}
-	buf := make([]byte, 0, first)
-	for uint64(len(buf)) < want {
-		next := want - uint64(len(buf))
-		if next > chunk {
-			next = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, next)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }

@@ -1,9 +1,11 @@
 // Package sched provides the repository's shared compute scheduler: a
 // persistent pool of worker goroutines with atomic work-stealing chunk
-// claiming. It replaces the earlier per-call goroutine spawning in
-// blas.Parallel, which paid a goroutine create/destroy plus a mutex-guarded
-// work index on every box sweep — measurable overhead on the traversal hot
-// path the paper's Section 3.3.3 efficiency numbers depend on.
+// claiming, and the repository's only parallel-region API: Run (one call per
+// index) and RunChunks (one call per contiguous chunk), both taking an
+// optional context. Spawning goroutines per call would pay a goroutine
+// create/destroy plus a shared work index on every box sweep — measurable
+// overhead on the traversal hot path the paper's Section 3.3.3 efficiency
+// numbers depend on.
 //
 // Design:
 //
@@ -32,11 +34,11 @@
 //     panic and return to the job channel, so a contained failure in one
 //     parallel region never wedges later regions.
 //
-//   - RunCtx/RunChunksCtx accept a context whose cancellation is checked
-//     in the chunk-claim loop of every participant: a canceled context
-//     stops the job within one chunk's work and the call returns ctx.Err().
+//   - A non-nil context is checked in the chunk-claim loop of every
+//     participant: a canceled context stops the job within one chunk's
+//     work and the call returns ctx.Err().
 //
-//   - In both cases Run*/submit return only after no participant is still
+//   - In both cases Run/RunChunks return only after no participant is still
 //     executing the body (the drain guarantee): callers may immediately
 //     reuse the buffers the body wrote without synchronization.
 //
@@ -82,8 +84,8 @@ type job struct {
 	next    atomic.Int64
 	done    atomic.Int64
 
-	// ctx is the optional cancellation signal; nil jobs (Run/RunChunks)
-	// pay only a nil compare per chunk claim.
+	// ctx is the optional cancellation signal; jobs with a nil ctx pay
+	// only a nil compare per chunk claim.
 	ctx context.Context
 
 	// aborted stops further chunk claiming after a panic or cancellation.
@@ -150,100 +152,68 @@ func Workers() int {
 // of one job concurrently: every pool worker plus the submitting caller.
 func MaxParticipants() int { return Workers() + 1 }
 
+// Serial reports whether the pool has a single executor, i.e. every region
+// runs inline on the caller. Hot paths that issue thousands of tiny regions
+// per solve use it to take a plain loop instead — same work order, but no
+// escaping closure per region.
+func Serial() bool { return Workers() == 1 }
+
 // Run executes fn(i) for every i in [0, n), distributing index chunks over
-// the worker pool. fn must be safe to call concurrently for distinct i.
-// Equivalent to the old blas.Parallel contract. If fn panics on any
-// participant, the job is aborted and drained and the first panic value is
-// re-raised on the caller.
-func Run(n int, fn func(i int)) {
+// the worker pool. fn must be safe to call concurrently for distinct i. If
+// fn panics on any participant, the job is aborted and drained and the
+// first panic value is re-raised on the caller.
+//
+// A non-nil ctx adds cooperative cancellation: every participant checks it
+// in its chunk-claim loop, so a canceled context stops the job within one
+// chunk's work and Run returns ctx.Err(). Indices not yet claimed when the
+// job aborts are never executed; the caller must treat any output of a
+// canceled region as garbage. A nil ctx costs one nil compare per chunk
+// and Run then always returns nil.
+func Run(ctx context.Context, n int, fn func(i int)) error {
 	if n <= 0 {
-		return
+		return nil
 	}
 	if Workers() == 1 || n == 1 {
-		if statsOn.Load() {
-			defer chargeSerial(now())
-		}
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
+		return runSerial(ctx, n, fn, nil)
 	}
-	submit(&job{fnIdx: fn, n: int64(n)})
+	return submit(&job{fnIdx: fn, n: int64(n), ctx: ctx})
 }
 
 // RunChunks executes body(lo, hi) over a partition of [0, n) into
 // contiguous chunks, distributing chunks over the worker pool. It is the
 // preferred form when the body wants per-chunk setup (scratch buffers,
-// local accumulators) amortized over many indices. Panic semantics match
-// Run.
-func RunChunks(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if Workers() == 1 {
-		if statsOn.Load() {
-			defer chargeSerial(now())
-		}
-		body(0, n)
-		return
-	}
-	submit(&job{fnChunk: body, n: int64(n)})
-}
-
-// RunCtx is Run with cooperative cancellation: every participant checks
-// ctx in its chunk-claim loop, so a canceled context stops the job within
-// one chunk's work and RunCtx returns ctx.Err(). Indices not yet claimed
-// when the job aborts are never executed; the caller must treat any output
-// of a canceled region as garbage. A nil ctx is equivalent to Run.
-func RunCtx(ctx context.Context, n int, fn func(i int)) error {
-	if ctx == nil {
-		Run(n, fn)
-		return nil
-	}
-	if n <= 0 {
-		return nil
-	}
-	if Workers() == 1 || n == 1 {
-		return runSerialCtx(ctx, n, fn, nil)
-	}
-	return submit(&job{fnIdx: fn, n: int64(n), ctx: ctx})
-}
-
-// RunChunksCtx is RunChunks with cooperative cancellation, under the same
-// contract as RunCtx. The serial degenerate case still partitions [0, n)
-// into several chunks so cancellation latency stays bounded by one chunk.
-func RunChunksCtx(ctx context.Context, n int, body func(lo, hi int)) error {
-	if ctx == nil {
-		RunChunks(n, body)
-		return nil
-	}
+// local accumulators) amortized over many indices. Panic and cancellation
+// semantics match Run.
+func RunChunks(ctx context.Context, n int, body func(lo, hi int)) error {
 	if n <= 0 {
 		return nil
 	}
 	if Workers() == 1 {
-		return runSerialCtx(ctx, n, nil, body)
+		return runSerial(ctx, n, nil, body)
 	}
 	return submit(&job{fnChunk: body, n: int64(n), ctx: ctx})
 }
 
-// runSerialCtx executes a cancellable region on the caller alone, checking
-// ctx between chunks of the same adaptive size a one-worker pool would use.
-func runSerialCtx(ctx context.Context, n int, fnIdx func(i int), fnChunk func(lo, hi int)) error {
+// runSerial executes a region on the caller alone. With a nil ctx that is
+// one plain loop (one body(0, n) call for chunked regions); with a ctx it
+// checks cancellation between chunks of the same adaptive size a
+// one-worker pool would use, so cancellation latency stays bounded by one
+// chunk.
+func runSerial(ctx context.Context, n int, fnIdx func(i int), fnChunk func(lo, hi int)) error {
 	if statsOn.Load() {
 		defer chargeSerial(now())
 	}
-	chunk := (n + chunksPerWorker - 1) / chunksPerWorker
-	if chunk < 1 {
-		chunk = 1
+	chunk := n
+	if ctx != nil {
+		chunk = (n + chunksPerWorker - 1) / chunksPerWorker
 	}
 	for lo := 0; lo < n; lo += chunk {
-		if err := ctx.Err(); err != nil {
-			return err
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		if fnChunk != nil {
 			fnChunk(lo, hi)
 		} else {

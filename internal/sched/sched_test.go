@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,52 +17,114 @@ import (
 // TestMain forces a multi-worker pool before its lazy first-use sizing:
 // the CI container is single-core, and with GOMAXPROCS=1 every call takes
 // the serial fast path, leaving the pool, panic-containment, and drain
-// logic untested.
+// logic untested. TestSerialPath covers that serial path separately.
 func TestMain(m *testing.M) {
 	runtime.GOMAXPROCS(4)
 	m.Run()
 }
 
+// ctxForms are the two region flavours every coverage test runs: no
+// context (the plain loop) and a live one (the cancellable chunk loop).
+var ctxForms = []struct {
+	name string
+	ctx  context.Context
+}{{"nil", nil}, {"live", context.Background()}}
+
 func TestRunCoversEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 7, 64, 1000, 4097} {
-		hits := make([]int32, n)
-		Run(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d executed %d times", n, i, h)
+	for _, f := range ctxForms {
+		for _, n := range []int{0, 1, 2, 3, 7, 64, 1000, 4097} {
+			hits := make([]int32, n)
+			if err := Run(f.ctx, n, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
+				t.Fatalf("%s ctx, n=%d: %v", f.name, n, err)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("%s ctx, n=%d: index %d executed %d times", f.name, n, i, h)
+				}
 			}
 		}
 	}
 }
 
 func TestRunChunksPartitionsRange(t *testing.T) {
-	for _, n := range []int{1, 5, 63, 64, 65, 1000} {
-		hits := make([]int32, n)
-		var calls int32
-		RunChunks(n, func(lo, hi int) {
-			if lo < 0 || hi > n || lo >= hi {
-				t.Errorf("n=%d: bad chunk [%d, %d)", n, lo, hi)
+	for _, f := range ctxForms {
+		for _, n := range []int{1, 5, 63, 64, 65, 1000} {
+			hits := make([]int32, n)
+			var calls int32
+			err := RunChunks(f.ctx, n, func(lo, hi int) {
+				if lo < 0 || hi > n || lo >= hi {
+					t.Errorf("%s ctx, n=%d: bad chunk [%d, %d)", f.name, n, lo, hi)
+				}
+				atomic.AddInt32(&calls, 1)
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s ctx, n=%d: %v", f.name, n, err)
 			}
-			atomic.AddInt32(&calls, 1)
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("%s ctx, n=%d: index %d covered %d times", f.name, n, i, h)
+				}
 			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d covered %d times", n, i, h)
+			if calls == 0 {
+				t.Fatalf("%s ctx, n=%d: no chunks executed", f.name, n)
 			}
 		}
-		if calls == 0 {
-			t.Fatalf("n=%d: no chunks executed", n)
+	}
+}
+
+// serialPathTests are the tests TestSerialPath re-runs at GOMAXPROCS=1:
+// index coverage with a nil and a live ctx, cancellation within one chunk,
+// and a body panic reaching the caller.
+var serialPathTests = []string{
+	"TestSerialPool",
+	"TestRunCoversEveryIndexOnce",
+	"TestRunChunksPartitionsRange",
+	"TestNestedRunCompletes",
+	"TestRunCtxCanceledBeforeStart",
+	"TestRunCtxCancelMidway",
+	"TestPanicReRaisedOnCaller",
+	"TestPanicOnEveryParticipant",
+}
+
+// TestSerialPath covers the Workers() == 1 branches of Run and RunChunks,
+// which TestMain's forced pool otherwise hides but every single-core host
+// runs: it re-executes this test binary with -test.cpu=1, which sets
+// GOMAXPROCS=1 before the first test sizes the pool, and requires each of
+// serialPathTests to pass there.
+func TestSerialPath(t *testing.T) {
+	if Serial() {
+		t.Skip("already on the serial path")
+	}
+	run := "^(" + strings.Join(serialPathTests, "|") + ")$"
+	out, err := exec.Command(os.Args[0], "-test.run", run, "-test.cpu", "1", "-test.count", "1", "-test.v").CombinedOutput()
+	if err != nil {
+		t.Fatalf("serial run failed: %v\n%s", err, out)
+	}
+	for _, name := range serialPathTests {
+		if !strings.Contains(string(out), "--- PASS: "+name+" ") {
+			t.Errorf("%s did not pass on the serial path:\n%s", name, out)
 		}
+	}
+}
+
+// TestSerialPool checks that a pool sized at GOMAXPROCS=1 reports Serial;
+// in TestSerialPath's child this proves the child really runs serially.
+func TestSerialPool(t *testing.T) {
+	if runtime.GOMAXPROCS(0) == 1 && !Serial() {
+		t.Fatalf("GOMAXPROCS=1 but the pool has %d workers", Workers())
+	}
+	if Serial() != (Workers() == 1) {
+		t.Fatalf("Serial() = %v with %d workers", Serial(), Workers())
 	}
 }
 
 func TestNestedRunCompletes(t *testing.T) {
 	var total int64
-	Run(8, func(i int) {
-		Run(16, func(j int) { atomic.AddInt64(&total, 1) })
+	Run(nil, 8, func(i int) {
+		Run(nil, 16, func(j int) { atomic.AddInt64(&total, 1) })
 	})
 	if total != 8*16 {
 		t.Fatalf("nested total = %d, want %d", total, 8*16)
@@ -73,7 +138,7 @@ func TestConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			Run(1000, func(i int) { atomic.AddInt64(&total, 1) })
+			Run(nil, 1000, func(i int) { atomic.AddInt64(&total, 1) })
 		}()
 	}
 	wg.Wait()
@@ -134,7 +199,7 @@ fill:
 	hits := make([]int32, 1000)
 	go func() {
 		defer close(done)
-		Run(len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
+		Run(nil, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
 	}()
 	select {
 	case <-done:
@@ -166,13 +231,13 @@ func TestPanicReRaisedOnCaller(t *testing.T) {
 		got := func() (r any) {
 			defer func() { r = recover() }()
 			if form == "run" {
-				Run(1000, func(i int) {
+				Run(nil, 1000, func(i int) {
 					if i == 417 {
 						panic("boom-417")
 					}
 				})
 			} else {
-				RunChunks(1000, func(lo, hi int) {
+				RunChunks(nil, 1000, func(lo, hi int) {
 					if lo <= 417 && 417 < hi {
 						panic("boom-417")
 					}
@@ -185,7 +250,7 @@ func TestPanicReRaisedOnCaller(t *testing.T) {
 		}
 		// Pool survives: a fresh region still covers every index.
 		var total int64
-		Run(500, func(int) { atomic.AddInt64(&total, 1) })
+		Run(nil, 500, func(int) { atomic.AddInt64(&total, 1) })
 		if total != 500 {
 			t.Fatalf("%s: post-panic Run covered %d/500", form, total)
 		}
@@ -197,7 +262,7 @@ func TestPanicReRaisedOnCaller(t *testing.T) {
 func TestPanicOnEveryParticipant(t *testing.T) {
 	got := func() (r any) {
 		defer func() { r = recover() }()
-		Run(10000, func(i int) { panic(i) })
+		Run(nil, 10000, func(i int) { panic(i) })
 		return nil
 	}()
 	if _, ok := got.(int); !ok {
@@ -214,7 +279,7 @@ func TestDrainAfterPanic(t *testing.T) {
 		buf := make([]int, 4096)
 		func() {
 			defer func() { recover() }()
-			Run(len(buf), func(i int) {
+			Run(nil, len(buf), func(i int) {
 				buf[i] = i
 				if i == 2048 {
 					panic("abort")
@@ -230,16 +295,16 @@ func TestDrainAfterPanic(t *testing.T) {
 
 func TestRunCtxNilAndBackground(t *testing.T) {
 	var total int64
-	if err := RunCtx(nil, 1000, func(int) { atomic.AddInt64(&total, 1) }); err != nil {
+	if err := Run(nil, 1000, func(int) { atomic.AddInt64(&total, 1) }); err != nil {
 		t.Fatalf("nil ctx: %v", err)
 	}
-	if err := RunCtx(context.Background(), 1000, func(int) { atomic.AddInt64(&total, 1) }); err != nil {
+	if err := Run(context.Background(), 1000, func(int) { atomic.AddInt64(&total, 1) }); err != nil {
 		t.Fatalf("background ctx: %v", err)
 	}
 	if total != 2000 {
 		t.Fatalf("total = %d, want 2000", total)
 	}
-	if err := RunChunksCtx(context.Background(), 1000, func(lo, hi int) {
+	if err := RunChunks(context.Background(), 1000, func(lo, hi int) {
 		atomic.AddInt64(&total, int64(hi-lo))
 	}); err != nil {
 		t.Fatalf("chunks background ctx: %v", err)
@@ -253,14 +318,14 @@ func TestRunCtxCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int64
-	err := RunCtx(ctx, 100000, func(int) { atomic.AddInt64(&ran, 1) })
+	err := Run(ctx, 100000, func(int) { atomic.AddInt64(&ran, 1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if ran != 0 {
 		t.Fatalf("%d indices ran under a pre-canceled context", ran)
 	}
-	err = RunChunksCtx(ctx, 100000, func(lo, hi int) { atomic.AddInt64(&ran, 1) })
+	err = RunChunks(ctx, 100000, func(lo, hi int) { atomic.AddInt64(&ran, 1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("chunks err = %v, want context.Canceled", err)
 	}
@@ -276,7 +341,7 @@ func TestRunCtxCancelMidway(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran int64
-	err := RunCtx(ctx, n, func(i int) {
+	err := Run(ctx, n, func(i int) {
 		if atomic.AddInt64(&ran, 1) == 100 {
 			cancel()
 		}
@@ -285,8 +350,13 @@ func TestRunCtxCancelMidway(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Each participant may finish the chunk it already claimed; nothing
-	// beyond one chunk each may run after the cancel.
-	limit := int64(MaxParticipants()) * int64(n/chunksPerWorker+1)
+	// beyond one chunk each may run after the cancel. On the serial path
+	// the caller is the only participant.
+	participants := MaxParticipants()
+	if Serial() {
+		participants = 1
+	}
+	limit := int64(participants) * int64(n/chunksPerWorker+1)
 	if got := atomic.LoadInt64(&ran); got >= n || got > 100+limit {
 		t.Fatalf("ran %d of %d indices after cancel (limit %d)", got, n, 100+limit)
 	}
@@ -296,7 +366,7 @@ func TestRunCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := RunChunksCtx(ctx, 1<<16, func(lo, hi int) {
+	err := RunChunks(ctx, 1<<16, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			time.Sleep(10 * time.Microsecond)
 		}
@@ -317,7 +387,7 @@ func TestCtxErrorPropagatesCustomCause(t *testing.T) {
 	cause := fmt.Errorf("budget exhausted")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	err := RunCtx(ctx, 1000, func(int) {})
+	err := Run(ctx, 1000, func(int) {})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -328,12 +398,12 @@ func TestCtxErrorPropagatesCustomCause(t *testing.T) {
 
 func BenchmarkRunEmpty4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Run(4096, func(int) {})
+		Run(nil, 4096, func(int) {})
 	}
 }
 
 func BenchmarkRunChunksEmpty4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		RunChunks(4096, func(lo, hi int) {})
+		RunChunks(nil, 4096, func(lo, hi int) {})
 	}
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Regenerates the hot-path performance record: end-to-end solver benchmarks
-# with allocation counts, the GEMM kernel sweep at the solver's translation
-# shapes (per compute backend), and the per-phase breakdown of the depth-4
-# K=12 solve (cmd/phases -json). Run from the repository root:
+# with allocation counts, the streaming Dgemm kernel sweep at the solver's
+# translation shapes (per compute backend), and the per-phase breakdown of
+# the depth-4 K=12 solve (cmd/phases -json). Run from the repository root:
 #
 #   scripts/bench.sh [output.json]
 #   NBODY_BACKEND=scalar scripts/bench.sh BENCH_scalar.json   # pin a backend
@@ -28,7 +28,7 @@ trap 'rm -f "$solve_txt" "$gemm_txt" "$phases_json"' EXIT
 
 go test ./internal/core/ -run '^$' -bench 'BenchmarkSolve(K12Depth4|SupernodesK32Depth4)$' \
     -benchmem -benchtime 5x | tee "$solve_txt"
-go test ./internal/blas/ -run '^$' -bench 'BenchmarkDgemm|BenchmarkGemmPanels' \
+go test ./internal/blas/ -run '^$' -bench 'BenchmarkDgemm' \
     -benchmem -benchtime 2s | tee "$gemm_txt"
 go run ./cmd/phases -n 32768 -depth 4 -degree 5 -json > "$phases_json"
 

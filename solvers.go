@@ -20,8 +20,10 @@ type Accuracy int
 // The presets.
 const (
 	// Fast is the paper's low-accuracy configuration: the 12-point
-	// icosahedral rule (integration order D = 5), about four digits
-	// relative to the mean field.
+	// icosahedral rule (integration order D = 5). Its RMS error relative
+	// to the mean field measures 1.5e-3 on uniform N = 65536 at depth 4
+	// (about three digits, the same on every seed); internal/core's D = 5
+	// test bounds it at 2e-3.
 	Fast Accuracy = iota
 	// Balanced is an intermediate configuration (D = 9).
 	Balanced
